@@ -1,7 +1,10 @@
 package ecc
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +17,88 @@ func codec(t *testing.T, page, sector int) *Codec {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// refSyndrome is the bit-serial definition of the syndrome: the XOR of
+// the 1-based positions of every set bit, and the parity of their count.
+// sectorSyndrome must agree with it on every input.
+func refSyndrome(sector []byte) (syndrome uint32, parity uint32) {
+	for byteIdx, b := range sector {
+		for b != 0 {
+			bit := bits.TrailingZeros8(b)
+			b &= b - 1
+			pos := uint32(byteIdx*8+bit) + 1
+			syndrome ^= pos
+			parity ^= 1
+		}
+	}
+	return syndrome, parity
+}
+
+// refEncode builds the parity block Encode must produce, from refSyndrome.
+func refEncode(data []byte, sectorSize int) []byte {
+	out := make([]byte, 0, 4*len(data)/sectorSize)
+	for s := 0; s+sectorSize <= len(data); s += sectorSize {
+		syn, par := refSyndrome(data[s : s+sectorSize])
+		word := syn<<1 | par
+		out = append(out, byte(word), byte(word>>8), byte(word>>16), byte(word>>24))
+	}
+	return out
+}
+
+// syndromePatterns returns named sectors of n bytes: all-zero, all-ones,
+// one bit at every position (for n <= 64), random, and sparse.
+func syndromePatterns(n int, rng *rand.Rand) map[string][]byte {
+	p := map[string][]byte{
+		"zero": make([]byte, n),
+		"ones": bytes.Repeat([]byte{0xff}, n),
+	}
+	if n <= 64 {
+		for bit := 0; bit < n*8; bit++ {
+			b := make([]byte, n)
+			b[bit/8] = 1 << (bit % 8)
+			p[fmt.Sprintf("bit%d", bit)] = b
+		}
+	}
+	for i := 0; i < 4; i++ {
+		random := make([]byte, n)
+		rng.Read(random)
+		p[fmt.Sprintf("random%d", i)] = random
+		sparse := make([]byte, n)
+		for j := 0; j < 1+n/64; j++ {
+			bit := rng.Intn(n * 8)
+			sparse[bit/8] |= 1 << (bit % 8)
+		}
+		p[fmt.Sprintf("sparse%d", i)] = sparse
+	}
+	return p
+}
+
+func TestSyndromeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 7, 8, 9, 32, 100, 512, 513, 8192} {
+		c := codec(t, 2*n, n)
+		for name, sector := range syndromePatterns(n, rng) {
+			gotSyn, gotPar := sectorSyndrome(sector)
+			wantSyn, wantPar := refSyndrome(sector)
+			if gotSyn != wantSyn || gotPar != wantPar {
+				t.Fatalf("size %d %s: syndrome (%d, %d), reference (%d, %d)",
+					n, name, gotSyn, gotPar, wantSyn, wantPar)
+			}
+			// Two-sector page: the pattern, then its complement.
+			page := append(append([]byte(nil), sector...), sector...)
+			for i := n; i < 2*n; i++ {
+				page[i] ^= 0xff
+			}
+			parity, err := c.Encode(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refEncode(page, n); !bytes.Equal(parity, want) {
+				t.Fatalf("size %d %s: Encode % x, reference % x", n, name, parity, want)
+			}
+		}
+	}
 }
 
 func TestCleanRoundTrip(t *testing.T) {
@@ -97,6 +182,13 @@ func TestSizeValidation(t *testing.T) {
 	if _, err := NewCodec(0, 512); err == nil {
 		t.Fatal("zero page accepted")
 	}
+	// The largest position must fit the 31-bit syndrome field.
+	if _, err := NewCodec(1<<28, 1<<28); err == nil {
+		t.Fatal("sector of 2^31 bits accepted")
+	}
+	if _, err := NewCodec(1<<28-1, 1<<28-1); err != nil {
+		t.Fatalf("sector just under 2^31 bits rejected: %v", err)
+	}
 	c := codec(t, 1024, 512)
 	if _, err := c.Encode(make([]byte, 100)); err == nil {
 		t.Fatal("short encode accepted")
@@ -135,12 +227,42 @@ func TestSingleErrorProperty(t *testing.T) {
 	}
 }
 
+func BenchmarkEncode8KB(b *testing.B) {
+	c, _ := NewCodec(8192, 512)
+	data := make([]byte, 8192)
+	rand.New(rand.NewSource(5)).Read(data)
+	b.SetBytes(8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Encode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecode8KBClean(b *testing.B) {
+	c, _ := NewCodec(8192, 512)
+	data := make([]byte, 8192)
+	rand.New(rand.NewSource(5)).Read(data)
+	parity, _ := c.Encode(data)
+	b.SetBytes(8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := c.Decode(data, parity); err != nil || n != 0 {
+			b.Fatalf("clean decode: n=%d err=%v", n, err)
+		}
+	}
+}
+
 func BenchmarkDecode8KBOneError(b *testing.B) {
 	c, _ := NewCodec(8192, 512)
 	data := make([]byte, 8192)
 	rand.New(rand.NewSource(5)).Read(data)
 	parity, _ := c.Encode(data)
 	b.SetBytes(8192)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data[17] ^= 4

@@ -87,3 +87,44 @@ func FuzzECCRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSyndrome checks the word-parallel syndrome against the bit-serial
+// reference on arbitrary bytes cut into sectors of a fuzzed size, so
+// word-boundary tails, bit 63 carries and multi-word sectors all occur,
+// and checks Encode's parity block over the whole sectors byte for byte.
+func FuzzSyndrome(f *testing.F) {
+	f.Add(uint16(12), append(bytes.Repeat([]byte{0xff}, 11), 0x01))
+	f.Add(uint16(16), []byte{7: 0x80, 15: 0x80})
+	f.Add(uint16(1), []byte{0x01, 0x80})
+
+	f.Fuzz(func(t *testing.T, size uint16, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sectorSize := int(size)
+		if sectorSize == 0 || sectorSize > len(data) {
+			sectorSize = len(data)
+		}
+		for s := 0; s < len(data); s += sectorSize {
+			sector := data[s:min(s+sectorSize, len(data))]
+			gotSyn, gotPar := sectorSyndrome(sector)
+			wantSyn, wantPar := refSyndrome(sector)
+			if gotSyn != wantSyn || gotPar != wantPar {
+				t.Fatalf("sector at %d (%d bytes): syndrome (%d, %d), reference (%d, %d)",
+					s, len(sector), gotSyn, gotPar, wantSyn, wantPar)
+			}
+		}
+		page := data[:len(data)/sectorSize*sectorSize]
+		codec, err := NewCodec(len(page), sectorSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parity, err := codec.Encode(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refEncode(page, sectorSize); !bytes.Equal(parity, want) {
+			t.Fatalf("Encode % x, reference % x", parity, want)
+		}
+	})
+}
